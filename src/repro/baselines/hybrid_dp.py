@@ -283,7 +283,7 @@ class HybridDPStrategy(Strategy):
                 assignments = tuple(zigzag_assignment(seq.length, group_size))
                 group = RingGroup(spec=spec, assignments=assignments)
                 before = plan.num_tasks
-                self.engine._emit_ring(
+                self.engine.emit_ring(
                     plan,
                     group,
                     self.spec,

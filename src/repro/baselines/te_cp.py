@@ -15,10 +15,17 @@ split, which is the "w/ Routing" ablation configuration of Fig. 11.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
-from repro.core.attention_engine import AttentionEngine, RingGroup
-from repro.core.chunking import ChunkAssignment, zigzag_assignment
+import numpy as np
+
+from repro.core.attention_engine import (
+    AttentionEngine,
+    check_exact_pairs,
+    ring_pair_matrix,
+)
+from repro.core.chunking import zigzag_assignment
 from repro.core.partitioner import RingSpec
 from repro.core.plan import ExecutionPlan
 from repro.core.routing import RoutingLayer
@@ -40,17 +47,34 @@ class BatchRingGroup:
     """
 
     spec: RingSpec
-    per_sequence: tuple[RingGroup, ...]
+    pair_matrix: np.ndarray
+    tokens: tuple[int, ...]
 
     @property
     def group_size(self) -> int:
         return self.spec.group_size
 
-    def tokens_of(self, ring_index: int) -> int:
-        return sum(g.tokens_of(ring_index) for g in self.per_sequence)
 
-    def round_pairs(self, ring_index: int, round_index: int) -> float:
-        return sum(g.round_pairs(ring_index, round_index) for g in self.per_sequence)
+@functools.lru_cache(maxsize=8)
+def _global_ring_work(
+    lengths: tuple[int, ...], group_size: int
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Summed pair matrix and token vector of zigzag rings over ``lengths``.
+
+    Keyed on content, so both phases of a batch (and every strategy instance
+    planning it) share one build.  Per-sequence matrices are not kept: one is
+    8 MB at 1024 ranks.  The float sum is exact because
+    :func:`check_exact_pairs` bounds every entry.
+    """
+    check_exact_pairs(sum(lengths))
+    pairs = np.zeros((group_size, group_size))
+    tokens = np.zeros(group_size, dtype=np.int64)
+    for length in lengths:
+        assignments = tuple(zigzag_assignment(length, group_size))
+        pairs += ring_pair_matrix(assignments)
+        tokens += [a.tokens for a in assignments]
+    pairs.flags.writeable = False
+    return pairs, tuple(tokens.tolist())
 
 
 @register_strategy(
@@ -81,21 +105,8 @@ class TransformerEngineCPStrategy(Strategy):
     def build_global_ring(self, batch: Batch) -> BatchRingGroup:
         """Build the single global ring carrying every sequence of the batch."""
         ranks = self.context.dp_ranks
-        group_size = len(ranks)
         zone = Zone.INTER_NODE if self.cluster.num_nodes > 1 else Zone.INTRA_NODE
-        per_sequence = []
-        for seq in batch:
-            spec = RingSpec(
-                ring_id=seq.seq_id,
-                seq_id=seq.seq_id,
-                zone=zone,
-                ranks=ranks,
-                seq_len=seq.length,
-            )
-            assignments: tuple[ChunkAssignment, ...] = tuple(
-                zigzag_assignment(seq.length, group_size)
-            )
-            per_sequence.append(RingGroup(spec=spec, assignments=assignments))
+        pairs, tokens = _global_ring_work(batch.lengths, len(ranks))
         batch_spec = RingSpec(
             ring_id=0,
             seq_id=0,
@@ -103,14 +114,11 @@ class TransformerEngineCPStrategy(Strategy):
             ranks=ranks,
             seq_len=batch.total_tokens,
         )
-        return BatchRingGroup(spec=batch_spec, per_sequence=tuple(per_sequence))
+        return BatchRingGroup(spec=batch_spec, pair_matrix=pairs, tokens=tokens)
 
     def tokens_per_rank(self, batch: Batch) -> dict[int, int]:
         """Even split: every DP rank holds ``total_tokens / world`` tokens."""
-        ring = self.build_global_ring(batch)
-        return {
-            rank: ring.tokens_of(i) for i, rank in enumerate(self.context.dp_ranks)
-        }
+        return dict(zip(self.context.dp_ranks, self.build_global_ring(batch).tokens))
 
     # -- Strategy interface ---------------------------------------------------------------
 
@@ -123,11 +131,11 @@ class TransformerEngineCPStrategy(Strategy):
         ring = self.build_global_ring(batch)
         rank_tasks: dict[int, list[int]] = {r: [] for r in self.cluster.iter_ranks()}
         compute_factor, comm_factor = self.phase_factors(phase)
-        self.engine._emit_ring(
+        self.engine.emit_ring(
             plan, ring, self.spec, compute_factor, comm_factor, rank_tasks
         )
 
-        tokens_per_rank = self.tokens_per_rank(batch)
+        tokens_per_rank = dict(zip(self.context.dp_ranks, ring.tokens))
         self.emit_linear(plan, tokens_per_rank, rank_tasks, phase=phase)
         plan.validate()
         return plan

@@ -17,12 +17,17 @@ transformer layer:
 Causal balance within a ring comes from the zigzag chunk assignment
 (:mod:`repro.core.chunking`); the per-round work is the exact number of
 mask-visible (query, key) pairs, so tests can check that the per-rank totals
-sum to the monolithic causal cost.
+sum to the monolithic causal cost.  A ring's counts are computed once, in
+numpy, as a ``G x G`` pair matrix (:func:`ring_pair_matrix`); round ``k`` of
+ring index ``i`` reads entry ``[i, (i - k) % G]``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.cluster.topology import Cluster
 from repro.core.chunking import ChunkAssignment, contiguous_assignment, zigzag_assignment
@@ -41,6 +46,11 @@ _PRIORITY = {Zone.INTER_NODE: 0, Zone.INTRA_NODE: 1, Zone.LOCAL: 2}
 # Backward passes move gradients of KV alongside KV and roughly double compute.
 _BACKWARD_COMPUTE_FACTOR = 2.0
 _BACKWARD_COMM_FACTOR = 2.0
+
+# float64 holds every integer below 2**53 exactly.  Doubled pair counts stay
+# below it, so every count is an exact float and float sums of counts are exact
+# in any order: vectorised and scalar counting give bit-identical durations.
+_EXACT_LIMIT = 2**53
 
 
 def causal_pairs_between(
@@ -75,9 +85,66 @@ def causal_pairs_between(
     return total
 
 
+def check_exact_pairs(num_tokens: int) -> None:
+    """Refuse a token span whose doubled causal pair count could reach 2**53."""
+    if 2 * num_tokens * num_tokens >= _EXACT_LIMIT:
+        raise ValueError(
+            f"{num_tokens} tokens is too long for exact causal pair counts "
+            "(2 * tokens**2 must stay below 2**53)"
+        )
+
+
+def _causal_pairs_twice(q_chunks: np.ndarray, kv_chunks: np.ndarray) -> np.ndarray:
+    """Twice :func:`causal_pairs_between` for every (query chunk, KV chunk) pair.
+
+    Both arguments are ``(n, 2)`` integer arrays of ``(start, length)`` rows
+    of one sequence.  Returns the exact ``(n_q, n_kv)`` int64 matrix ``2 *
+    full + twice_partial``; doubling keeps the partial region's half-integer
+    sums integral.
+    """
+    q_start = q_chunks[:, :1]
+    q_stop = q_start + np.maximum(q_chunks[:, 1:], 0)
+    kv_start = kv_chunks[:, 0]
+    kv_len = np.maximum(kv_chunks[:, 1], 0)
+    kv_end = kv_start + kv_len
+    # Queries at p >= kv_end - 1 see the full KV range.
+    full_rows = np.maximum(q_stop - np.maximum(q_start, kv_end - 1), 0)
+    # Queries at kv_start <= p < kv_end - 1 see the keys first..last of a prefix.
+    first = np.maximum(q_start - kv_start, 0) + 1
+    last = np.minimum(q_stop - kv_start, kv_len - 1)
+    count = np.maximum(last - first + 1, 0)
+    return 2 * full_rows * kv_len + count * (first + last)
+
+
+def ring_pair_matrix(assignments: tuple[ChunkAssignment, ...]) -> np.ndarray:
+    """Exact ``G x G`` causal pair matrix of one ring's chunk assignment.
+
+    Entry ``[i, owner]`` is the number of causal-visible pairs between ring
+    index ``i``'s query chunks and ``owner``'s KV chunks.  Counted in int64
+    over all head and tail chunks at once, returned as read-only float64.
+    Raises ``ValueError`` when the sequence is too long to count exactly.
+    """
+    g = len(assignments)
+    chunks = np.array(
+        [a.head_chunk for a in assignments] + [a.tail_chunk for a in assignments],
+        dtype=np.int64,
+    ).reshape(2 * g, 2)
+    check_exact_pairs(int((chunks[:, 0] + chunks[:, 1]).max()))
+    twice = _causal_pairs_twice(chunks, chunks)
+    twice = twice[:g, :g] + twice[:g, g:] + twice[g:, :g] + twice[g:, g:]
+    pairs = twice / 2.0
+    pairs.flags.writeable = False
+    return pairs
+
+
 @dataclass(frozen=True)
 class RingGroup:
-    """A ring specification plus the chunk assignment of each member rank."""
+    """A ring specification plus the chunk assignment of each member rank.
+
+    The ring emitter reads only ``spec``, ``pair_matrix`` and ``tokens``, so
+    other ring shapes (e.g. Transformer Engine's batch-wide ring) duck-type
+    those three.
+    """
 
     spec: RingSpec
     assignments: tuple[ChunkAssignment, ...]
@@ -86,26 +153,19 @@ class RingGroup:
     def group_size(self) -> int:
         return self.spec.group_size
 
-    def tokens_of(self, ring_index: int) -> int:
-        return self.assignments[ring_index].tokens
+    @property
+    def tokens(self) -> tuple[int, ...]:
+        """KV tokens each ring index owns (and forwards every round)."""
+        return tuple(a.tokens for a in self.assignments)
 
-    def query_chunks(self, ring_index: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        a = self.assignments[ring_index]
-        return (a.head_chunk, a.tail_chunk)
+    @functools.cached_property
+    def pair_matrix(self) -> np.ndarray:
+        """Causal pairs per (ring index, KV owner); see :func:`ring_pair_matrix`.
 
-    def round_pairs(self, ring_index: int, round_index: int) -> float:
-        """Causal pairs rank ``ring_index`` evaluates in round ``round_index``.
-
-        In round ``k`` the rank holds the KV chunks originally owned by ring
-        index ``(ring_index - k) mod G``.
+        In round ``k`` ring index ``i`` holds the KV chunks of ring index
+        ``(i - k) mod G``.
         """
-        g = self.group_size
-        owner = (ring_index - round_index) % g
-        pairs = 0.0
-        for q_chunk in self.query_chunks(ring_index):
-            for kv_chunk in self.query_chunks(owner):
-                pairs += causal_pairs_between(q_chunk, kv_chunk)
-        return pairs
+        return ring_pair_matrix(self.assignments)
 
 
 @dataclass
@@ -203,9 +263,9 @@ class AttentionEngine:
         rank_tasks: dict[int, list[int]] = {r: [] for r in self.cluster.iter_ranks()}
 
         for group in queues.inter:
-            self._emit_ring(plan, group, spec, compute_factor, comm_factor, rank_tasks)
+            self.emit_ring(plan, group, spec, compute_factor, comm_factor, rank_tasks)
         for group in queues.intra:
-            self._emit_ring(plan, group, spec, compute_factor, comm_factor, rank_tasks)
+            self.emit_ring(plan, group, spec, compute_factor, comm_factor, rank_tasks)
         for rank, placements in queues.local.items():
             self._emit_local(
                 plan, rank, placements, spec, compute_factor, rank_tasks
@@ -214,7 +274,7 @@ class AttentionEngine:
 
     # -- ring emission ----------------------------------------------------------------
 
-    def _emit_ring(
+    def emit_ring(
         self,
         plan: ExecutionPlan,
         group: RingGroup,
@@ -224,10 +284,19 @@ class AttentionEngine:
         rank_tasks: dict[int, list[int]],
         initial_deps: tuple[int, ...] = (),
     ) -> None:
+        """Emit the ``G`` compute rounds and ``G - 1`` KV hops of one ring.
+
+        ``group`` supplies ``spec``, ``pair_matrix`` and ``tokens`` (see
+        :class:`RingGroup`).  Tasks without predecessors in the ring depend on
+        ``initial_deps``.
+        """
         ring = group.spec
         g = ring.group_size
         priority = _PRIORITY[ring.zone]
         kv_per_token = self.comm.kv_chunk_bytes(spec, 1)
+        # Python floats, so durations are computed exactly as for scalar counts.
+        pair_rows = group.pair_matrix.tolist()
+        tokens = group.tokens
 
         # recv_ready[i] holds the task id after which rank i holds the payload
         # for the *next* round (i.e. the hop into rank i has completed).
@@ -236,7 +305,7 @@ class AttentionEngine:
         for round_index in range(g):
             compute_ids: list[int | None] = [None] * g
             for i, rank in enumerate(ring.ranks):
-                pairs = group.round_pairs(i, round_index)
+                pairs = pair_rows[i][(i - round_index) % g]
                 deps = list(initial_deps) if recv_ready[i] is None else []
                 if recv_ready[i] is not None:
                     deps.append(recv_ready[i])
@@ -263,7 +332,7 @@ class AttentionEngine:
             new_recv_ready: list[int | None] = [None] * g
             for i, rank in enumerate(ring.ranks):
                 owner = (i - round_index) % g
-                payload_tokens = group.tokens_of(owner)
+                payload_tokens = tokens[owner]
                 nbytes = payload_tokens * kv_per_token * comm_factor
                 dst_rank = ring.ranks[(i + 1) % g]
                 deps = list(initial_deps) if recv_ready[i] is None else []

@@ -1,8 +1,17 @@
 """Tests for the attention engine: queues, ring rounds, routed hops."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.attention_engine import AttentionEngine, causal_pairs_between
+from repro.core.attention_engine import (
+    AttentionEngine,
+    RingGroup,
+    causal_pairs_between,
+    ring_pair_matrix,
+)
+from repro.core.chunking import contiguous_assignment, zigzag_assignment
 from repro.core.partitioner import SequencePartitioner
 from repro.core.plan import ExecutionPlan, TaskKind
 from repro.core.routing import RoutingLayer
@@ -55,6 +64,60 @@ class TestCausalPairsBetween:
         assert total == seq * (seq + 1) / 2
 
 
+def _scalar_pair_matrix(assignments):
+    chunks = [(a.head_chunk, a.tail_chunk) for a in assignments]
+    return [
+        [sum(causal_pairs_between(q, kv) for q in mine for kv in theirs) for theirs in chunks]
+        for mine in chunks
+    ]
+
+
+class TestRingPairMatrix:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        seq_len=st.integers(min_value=1, max_value=5000),
+        group_size=st.integers(min_value=1, max_value=24),
+        zigzag=st.booleans(),
+    )
+    def test_matches_scalar_causal_pairs(self, seq_len, group_size, zigzag):
+        assign = zigzag_assignment if zigzag else contiguous_assignment
+        assignments = tuple(assign(seq_len, group_size))
+        matrix = ring_pair_matrix(assignments)
+        assert matrix.shape == (group_size, group_size)
+        assert matrix.tolist() == _scalar_pair_matrix(assignments)
+
+    @pytest.mark.parametrize("group_size", [1, 3, 8])
+    @pytest.mark.parametrize("seq_len", [1, 2, 5, 15])
+    def test_short_sequences_and_single_rank(self, seq_len, group_size):
+        # seq_len < 2G leaves zero-length chunks; G = 1 is a one-rank ring.
+        for assign in (zigzag_assignment, contiguous_assignment):
+            assignments = tuple(assign(seq_len, group_size))
+            matrix = ring_pair_matrix(assignments)
+            assert matrix.tolist() == _scalar_pair_matrix(assignments)
+            assert matrix.sum() == seq_len * (seq_len + 1) / 2
+
+    def test_matrix_is_read_only(self):
+        matrix = ring_pair_matrix(tuple(zigzag_assignment(100, 4)))
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 0.0
+
+    def test_refuses_sequences_too_long_to_count_exactly(self):
+        limit = int(np.sqrt(2.0**52))  # 2 * limit**2 == 2**53
+        ring_pair_matrix(tuple(zigzag_assignment(limit - 1, 2)))
+        with pytest.raises(ValueError, match="exact"):
+            ring_pair_matrix(tuple(zigzag_assignment(limit, 2)))
+
+    def test_ring_group_reads_its_assignment(self, cluster_a2):
+        partition = SequencePartitioner(cluster=cluster_a2, token_budget=4096).partition(
+            Batch.from_lengths([16 * 4096])
+        )
+        (ring,) = partition.rings
+        group = RingGroup(ring, tuple(zigzag_assignment(ring.seq_len, ring.group_size)))
+        assert group.tokens == tuple(a.tokens for a in group.assignments)
+        assert sum(group.tokens) == ring.seq_len
+        assert group.pair_matrix is group.pair_matrix  # computed once per group
+
+
 class TestQueueConstruction:
     def test_queues_split_by_zone(self, cluster_a2, mixed_batch):
         partition = SequencePartitioner(cluster=cluster_a2, token_budget=4096).partition(
@@ -75,12 +138,9 @@ class TestQueueConstruction:
         queues = engine.build_queues(partition)
         for group in queues.all_rings():
             seq_len = group.spec.seq_len
-            total_pairs = sum(
-                group.round_pairs(i, r)
-                for i in range(group.group_size)
-                for r in range(group.group_size)
-            )
-            assert total_pairs == pytest.approx(seq_len * (seq_len + 1) / 2)
+            # Every entry is an exact half-integer well below 2**53, so the
+            # float sum is exact in any order.
+            assert group.pair_matrix.sum() == seq_len * (seq_len + 1) / 2
 
 
 class TestEmission:

@@ -50,6 +50,30 @@ class TestTransformerEngineCP:
         assert sum(values) == mixed_batch.total_tokens
         assert max(values) - min(values) <= 2 * mixed_batch.num_sequences
 
+    def test_global_ring_sums_every_sequence_exactly(self, context_16, mixed_batch):
+        ring = TransformerEngineCPStrategy(context_16).build_global_ring(mixed_batch)
+        assert ring.pair_matrix.shape == (16, 16)
+        assert ring.pair_matrix.sum() == sum(n * (n + 1) / 2 for n in mixed_batch.lengths)
+        assert sum(ring.tokens) == mixed_batch.total_tokens
+
+    def test_global_ring_is_built_once_per_batch_content(self, context_16, mixed_batch):
+        first = TransformerEngineCPStrategy(context_16).build_global_ring(mixed_batch)
+        # A fresh strategy and an equal (not identical) batch hit the same build.
+        again = TransformerEngineCPStrategy(context_16).build_global_ring(
+            Batch.from_lengths(mixed_batch.lengths)
+        )
+        assert again.pair_matrix is first.pair_matrix
+        other = Batch.from_lengths(mixed_batch.lengths[:-1])
+        assert (
+            TransformerEngineCPStrategy(context_16).build_global_ring(other).pair_matrix
+            is not first.pair_matrix
+        )
+
+    def test_refuses_batches_too_long_to_count_exactly(self, context_16):
+        strategy = TransformerEngineCPStrategy(context_16)
+        with pytest.raises(ValueError, match="exact"):
+            strategy.plan_layer(Batch.from_lengths([2**25, 2**25]))
+
     def test_plan_contains_ring_communication(self, context_16, mixed_batch):
         strategy = TransformerEngineCPStrategy(context_16)
         plan = strategy.plan_layer(mixed_batch)
