@@ -9,18 +9,23 @@ by two GPUs, and a per-rank reduction — then times:
 * the *warm* path: re-simulating with the :class:`CompiledPlan` cached on the
   plan, the case sweeps and resilience iterations hit.
 
-The frozen pre-refactor engine (:mod:`repro.sim._reference`) runs the same
+The frozen pre-refactor engine (``tests/_reference_engine.py``) runs the same
 plan under identical (exact) drain semantics, so the benchmark doubles as a
 regression guard: results must stay bit-identical, and warm events/sec must
 stay at least ``MIN_SPEEDUP`` ahead of the reference.  CI runs this file as a
 perf smoke step and prints the events/sec table in the job log.
 """
 
+import sys
 import time
+from pathlib import Path
 
 from repro.core.plan import ExecutionPlan, TaskKind
-from repro.sim._reference import ReferenceSimulator
 from repro.sim.engine import Simulator
+
+# The frozen reference engine lives with the tests it was frozen for.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from _reference_engine import ReferenceSimulator  # noqa: E402
 
 NUM_RANKS = 512
 ROUNDS = 3

@@ -79,7 +79,6 @@ from repro.registry import (
     register_strategy,
 )
 from repro.results import CompareResult, ResilienceResult, RunResult, ServeResult
-from repro.training.runner import TrainingRun, TrainingRunConfig
 
 __version__ = "1.5.0"
 
@@ -121,7 +120,5 @@ __all__ = [
     "ResilienceResult",
     "RunResult",
     "ServeResult",
-    "TrainingRun",
-    "TrainingRunConfig",
     "__version__",
 ]

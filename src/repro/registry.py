@@ -11,9 +11,8 @@ Strategies and experiments self-register at import time::
 Built-in entries are *lazy*: the registry knows which module provides each
 built-in name and imports it on first lookup, so ``available_strategies()``
 and CLI argument parsing stay cheap.  Registering a new strategy or
-experiment requires no change to :mod:`repro.training.runner` or
-:mod:`repro.cli` — the CLI, :class:`repro.api.Session` and ``repro list``
-all read from these registries.
+experiment requires no change to :mod:`repro.cli` — the CLI,
+:class:`repro.api.Session` and ``repro list`` all read from these registries.
 
 Public helpers:
 
@@ -49,9 +48,9 @@ class DuplicateEntryError(RegistryError, ValueError):
 class UnknownEntryError(RegistryError, ValueError, KeyError):
     """A name was looked up that no entry (eager or lazy) provides.
 
-    Subclasses both :class:`ValueError` and :class:`KeyError` so callers of
-    the pre-registry APIs (``build_strategy`` raised ``ValueError``,
-    ``get_model`` raises ``KeyError``) keep working unchanged.
+    Subclasses both :class:`ValueError` and :class:`KeyError` so callers
+    expecting either (strategy lookups raised ``ValueError``, ``get_model``
+    raises ``KeyError``) keep working unchanged.
     """
 
     def __str__(self) -> str:  # KeyError quotes its message; undo that.

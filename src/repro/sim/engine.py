@@ -17,18 +17,23 @@ in-flight task holding it is aborted (recorded in the trace with
 ``aborted=True``) while tasks that require a dead resource are stranded and
 never start.
 
-There is ONE engine core: the static case is simply the dynamic case with an
-empty event schedule (speeds stay 1.0, nothing dies), so both produce
-bit-identical makespans by construction.  The core runs over the plan's
-:class:`~repro.sim.compile.CompiledPlan` — interned resource ids backing plain
-``busy``/``speed``/``alive`` arrays, CSR dependent adjacency, and precomputed
-``(priority, task_id)`` dispatch keys.  Dispatch is *indexed*: a task blocked
-on a busy resource parks in that resource's waiter list and is only
-reconsidered when the resource actually frees, so an event touches the tasks
-it can unblock instead of re-sorting the whole ready set.  Same-timestamp
-events are drained by exact comparison on the pushed completion times (an
-absolute epsilon would mis-merge distinct events once the simulation clock
-grows past the point where one ulp exceeds it).
+There is ONE event loop, and it holds the only copy of the dispatch rules:
+the static case is simply the dynamic case with an empty event schedule
+(speeds stay 1.0, nothing dies), so both produce bit-identical makespans by
+construction, and the batched kernel (:mod:`repro.sim.batch`) runs this same
+loop for every lane it does not replay.  The loop runs over the plan's
+:class:`~repro.sim.compile.CompiledPlan` — interned resource ids backing
+plain ``busy``/``speed`` arrays, CSR dependent adjacency, and precomputed
+``(priority, task_id)`` dispatch keys.  Its heap holds completions only;
+timed resource events are read in order from their sorted list after each
+instant's completions, and a dead resource is simply held busy forever.
+Dispatch is *indexed*: a task blocked on a busy resource parks in that
+resource's waiter list and is only reconsidered when the resource actually
+frees, so an event touches the tasks it can unblock instead of re-sorting
+the whole ready set.  Same-timestamp events are drained by exact comparison
+on the pushed completion times (an absolute epsilon would mis-merge distinct
+events once the simulation clock grows past the point where one ulp exceeds
+it).
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from typing import Sequence
 
 from repro.core.plan import ExecutionPlan
 from repro.sim.compile import CompiledPlan, compile_plan
-from repro.sim.events import FINISH, PERTURB, ResourceEvent, compile_resource_events
+from repro.sim.events import ResourceEvent, compile_resource_events
 from repro.sim.trace import Trace
 
 
@@ -110,232 +115,245 @@ class Simulator:
             resource state).
         """
         cp = plan if isinstance(plan, CompiledPlan) else compile_plan(plan)
-        n = cp.num_tasks
-        trace = Trace()
-        if n == 0:
-            return SimulationResult(makespan_s=0.0, trace=trace, plan=cp.plan)
+        return _run(cp, events, start_time_s, self.record_trace)
 
-        tasks = cp.plan.tasks
-        num_res = cp.num_resources
-        busy = [False] * num_res
-        speed = [1.0] * num_res
-        alive = [True] * num_res
-        any_dead = False
 
-        # The event heap holds flat tuples (time, kind, seq, a, b): completions
-        # are (t, FINISH, seq, task_id, generation), perturbations are
-        # (t, PERTURB, seq, factor, resource_ids).  ``seq`` is a single
-        # monotonic counter, so ties within one (time, kind) pop in push order.
-        heap: list[tuple] = []
-        seq = 0
-        has_perturbations = False
-        if events:
-            initial, timed = compile_resource_events(
-                events, cp.resource_index, start_time_s
-            )
-            for factor, rids in initial:
-                for rid in rids:
-                    if factor is None:
-                        alive[rid] = False
-                        any_dead = True
-                    else:
-                        speed[rid] = factor
-            for local, factor, rids in timed:
-                heap.append((local, PERTURB, seq, factor, rids))
-                seq += 1
-            # Entries were appended in sorted (time, seq) order: already a heap.
-            has_perturbations = bool(heap) or any(s != 1.0 for s in speed)
+class _Schedule:
+    """The decisions of one run, captured for :mod:`repro.sim.batch` replay.
 
-        durations = cp.durations
-        task_res = cp.task_resources
-        keys = cp.dispatch_keys
-        remaining_deps = list(cp.dep_counts)
-        dep_indptr = cp.dependents_indptr
-        dep_ids = cp.dependents_ids
+    Each loop iteration that drains completions is one *group* (one
+    completion instant).  ``started``/``done`` are the task ids in dispatch
+    and completion order; ``start_group``/``end_group`` map a task to the
+    group that started (-1: the initial dispatch) and completed it; ``heads``
+    holds each group's first completed task.  All flat int lists, so a pilot
+    allocates no per-instant containers.
+    """
 
-        # Indexed dispatch: a blocked task parks in the waiter list of the
-        # first busy resource that blocked it, and is reconsidered only when
-        # that resource frees.  Every waiting task sits in exactly one list.
-        waiters: list[list[int]] = [[] for _ in range(num_res)]
+    __slots__ = ("started", "done", "start_group", "end_group", "heads")
 
-        start_times: dict[int, float] = {}
-        end_times: dict[int, float] = {}
-        # tid -> [segment start, remaining work (s at speed 1), current speed].
-        running: dict[int, list[float]] = {}
-        generation = [0] * n  # invalidates stale completion events
-        aborted: list[int] = []
-        completed = 0
-        now = 0.0
-        record_trace = self.record_trace
+    def __init__(self, n: int) -> None:
+        self.started: list[int] = []
+        self.done: list[int] = []
+        self.start_group = [-1] * n
+        self.end_group = [-1] * n
+        self.heads: list[int] = []
 
-        def dispatch(candidates: list[int]) -> None:
-            """Start every candidate whose resources are free, in priority order.
 
-            Candidates are the tasks an event batch could have unblocked: the
-            newly dependency-free plus the parked waiters of every resource
-            the batch freed.  Tasks needing a dead resource are dropped here
-            and accounted as stranded in the final sweep.
-            """
-            nonlocal seq
+def _run(
+    cp: CompiledPlan,
+    events: Sequence[ResourceEvent] | None,
+    start_time_s: float,
+    record_trace: bool,
+    capture: _Schedule | None = None,
+) -> SimulationResult:
+    """The event loop.  ``capture`` records the schedule of a run without
+    timed events (the batch kernel's pilot lanes)."""
+    n = cp.num_tasks
+    trace = Trace()
+    if n == 0:
+        return SimulationResult(makespan_s=0.0, trace=trace, plan=cp.plan)
+
+    num_res = cp.num_resources
+    busy = [False] * num_res
+    speed = [1.0] * num_res
+    # Dead resources stay busy forever, so dispatch parks (never starts) a
+    # task that needs one without a separate liveness check.
+    dead: set[int] = set()
+    timed: list = []
+    if events:
+        initial, timed = compile_resource_events(
+            events, cp.resource_index, start_time_s
+        )
+        for factor, rids in initial:
+            for rid in rids:
+                if factor is None:
+                    dead.add(rid)
+                    busy[rid] = True
+                else:
+                    speed[rid] = factor
+    num_timed = len(timed)
+    next_timed = 0
+    # Timed events re-time or abort in-flight tasks, which needs the running
+    # set and stale-entry detection; without them every completion is live.
+    retime = num_timed > 0
+    rated = retime or any(s != 1.0 for s in speed)
+
+    tasks = cp.plan.tasks
+    durations = cp.durations
+    task_res = cp.task_resources
+    keys = cp.dispatch_keys
+    remaining_deps = list(cp.dep_counts)
+    dep_indptr = cp.dependents_indptr
+    dep_ids = cp.dependents_ids
+
+    # Indexed dispatch: a blocked task parks in the waiter list of the first
+    # busy resource that blocked it, and is reconsidered only when that
+    # resource frees.  Every waiting task sits in exactly one list.
+    waiters: list[list[int]] = [[] for _ in range(num_res)]
+    start_times: dict[int, float] = {}
+    end_times: dict[int, float] = {}
+    # The heap holds completions only, as (time, seq, task_id); ``seq`` is a
+    # monotonic push counter, so same-instant completions pop in push order.
+    heap: list[tuple[float, int, int]] = []
+    seq = 0
+    # tid -> [segment start, remaining work (s at speed 1), rate, live seq].
+    running: dict[int, list] = {}
+    aborted: list[int] = []
+    if capture is not None:
+        start_group = capture.start_group
+        end_group = capture.end_group
+        heads = capture.heads
+    group = -1
+    now = 0.0
+
+    if not cp.initial_ready and not timed and not dead:
+        raise RuntimeError("deadlock at time 0: ready tasks cannot acquire resources")
+    candidates = list(cp.initial_ready)
+    while True:
+        # Dispatch: start every candidate whose resources are free, in
+        # (priority, task_id) order; the others park at the first busy one.
+        if len(candidates) > 1:
             candidates.sort(key=keys.__getitem__)
-            for tid in candidates:
-                res = task_res[tid]
-                startable = True
-                for rid in res:
-                    if not alive[rid]:
-                        startable = False  # stranded: never starts
-                        break
-                    if busy[rid]:
-                        waiters[rid].append(tid)
-                        startable = False
-                        break
-                if not startable:
-                    continue
+        for tid in candidates:
+            res = task_res[tid]
+            for rid in res:
+                if busy[rid]:
+                    waiters[rid].append(tid)
+                    break
+            else:
                 for rid in res:
                     busy[rid] = True
                 start_times[tid] = now
-                if has_perturbations:
+                if rated:
                     rate = min((speed[rid] for rid in res), default=1.0)
-                    finish_at = now + durations[tid] / rate
+                    finish = now + durations[tid] / rate
                 else:
-                    rate = 1.0
-                    finish_at = now + durations[tid]
-                running[tid] = [now, durations[tid], rate]
-                heappush(heap, (finish_at, FINISH, seq, tid, generation[tid]))
+                    finish = now + durations[tid]
+                heappush(heap, (finish, seq, tid))
+                if retime:
+                    running[tid] = [now, durations[tid], rate, seq]
+                if capture is not None:
+                    start_group[tid] = group
                 seq += 1
 
-        dispatch(list(cp.initial_ready))
-
-        if not running and not heap and not any_dead:
-            raise RuntimeError(
-                "deadlock at time 0: ready tasks cannot acquire resources"
-            )
-
-        while heap:
+        if heap:
             now = heap[0][0]
-            finished: list[int] = []
-            perturbations: list[tuple] = []
-            # Drain all events at this exact timestamp (completions first, by
-            # kind order) before re-dispatching, so freed resources go to the
-            # highest-priority waiter and same-instant failures see final
-            # state.  Comparison is exact on the pushed times: equal
-            # completion instants arise from identical float arithmetic, and
-            # an absolute epsilon would spuriously merge distinct events at
-            # large clocks.
-            while heap and heap[0][0] == now:
-                _, kind, _, a, b = heappop(heap)
-                if kind == FINISH:
-                    if a in running and generation[a] == b:
-                        finished.append(a)
-                else:
-                    perturbations.append((a, b))
+            if next_timed < num_timed and timed[next_timed][0] < now:
+                now = timed[next_timed][0]
+        elif next_timed < num_timed:
+            now = timed[next_timed][0]
+        else:
+            break
+        group += 1
+        if capture is not None:
+            heads.append(heap[0][2])
 
-            candidates: list[int] = []
-            for tid in finished:
+        # Drain every completion at this exact instant, then the timed
+        # events at it, before re-dispatching: freed resources go to the
+        # highest-priority waiter and same-instant failures see final state
+        # (a task finishing as its resource dies counts as completed).
+        # Comparison is exact on the pushed times: equal instants arise from
+        # identical float arithmetic, and an absolute epsilon would merge
+        # distinct events at large clocks.
+        candidates = []
+        while heap and heap[0][0] == now:
+            _, entry, tid = heappop(heap)
+            if retime:
+                record = running.get(tid)
+                if record is None or record[3] != entry:
+                    continue  # stale: re-timed or aborted since the push
                 del running[tid]
-                end_times[tid] = now
-                completed += 1
-                for rid in task_res[tid]:
-                    busy[rid] = False
-                    freed = waiters[rid]
-                    if freed:
-                        candidates.extend(freed)
-                        waiters[rid] = []
-                if record_trace:
-                    task = tasks[tid]
-                    trace.record(
-                        tid, task.name, task.kind, task.rank,
-                        start_times[tid], now,
-                    )
-                for j in range(dep_indptr[tid], dep_indptr[tid + 1]):
-                    dep_tid = dep_ids[j]
-                    remaining_deps[dep_tid] -= 1
-                    if remaining_deps[dep_tid] == 0:
-                        candidates.append(dep_tid)
+            end_times[tid] = now
+            for rid in task_res[tid]:
+                busy[rid] = False
+                freed = waiters[rid]
+                if freed:
+                    candidates.extend(freed)
+                    waiters[rid] = []
+            if record_trace:
+                task = tasks[tid]
+                trace.record(
+                    tid, task.name, task.kind, task.rank, start_times[tid], now
+                )
+            if capture is not None:
+                end_group[tid] = group
+            for j in range(dep_indptr[tid], dep_indptr[tid + 1]):
+                dep_tid = dep_ids[j]
+                remaining_deps[dep_tid] -= 1
+                if remaining_deps[dep_tid] == 0:
+                    candidates.append(dep_tid)
 
-            for factor, rids in perturbations:
-                if factor is None:
-                    for rid in rids:
-                        alive[rid] = False
-                    any_dead = True
-                    dead = set(rids)
-                    for tid in [
-                        t for t in running if not dead.isdisjoint(task_res[t])
-                    ]:
-                        generation[tid] += 1
-                        del running[tid]
-                        aborted.append(tid)
-                        for rid in task_res[tid]:
+        while next_timed < num_timed and timed[next_timed][0] == now:
+            _, factor, rids = timed[next_timed]
+            next_timed += 1
+            changed = set(rids)
+            if factor is None:
+                dead.update(rids)
+                for rid in rids:
+                    busy[rid] = True
+                for tid in [t for t in running if not changed.isdisjoint(task_res[t])]:
+                    del running[tid]
+                    aborted.append(tid)
+                    for rid in task_res[tid]:
+                        if rid not in dead:
                             busy[rid] = False
                             freed = waiters[rid]
                             if freed:
                                 candidates.extend(freed)
                                 waiters[rid] = []
-                        if record_trace:
-                            task = tasks[tid]
-                            trace.record(
-                                tid, task.name, task.kind, task.rank,
-                                start_times[tid], now, aborted=True,
-                            )
-                else:
-                    changed = set(rids)
-                    for rid in rids:
-                        speed[rid] = factor
-                    for tid, record in running.items():
-                        res = task_res[tid]
-                        if changed.isdisjoint(res):
-                            continue
-                        seg_start, remaining, rate = record
-                        remaining = max(0.0, remaining - (now - seg_start) * rate)
-                        rate = min((speed[rid] for rid in res), default=1.0)
-                        record[0] = now
-                        record[1] = remaining
-                        record[2] = rate
-                        generation[tid] += 1
-                        heappush(
-                            heap,
-                            (now + remaining / rate, FINISH, seq, tid, generation[tid]),
+                    if record_trace:
+                        task = tasks[tid]
+                        trace.record(
+                            tid,
+                            task.name,
+                            task.kind,
+                            task.rank,
+                            start_times[tid],
+                            now,
+                            aborted=True,
                         )
-                        seq += 1
+            else:
+                for rid in rids:
+                    speed[rid] = factor
+                for tid, record in running.items():
+                    res = task_res[tid]
+                    if changed.isdisjoint(res):
+                        continue
+                    seg_start, remaining, rate, _ = record
+                    remaining = max(0.0, remaining - (now - seg_start) * rate)
+                    rate = min((speed[rid] for rid in res), default=1.0)
+                    record[:] = [now, remaining, rate, seq]
+                    heappush(heap, (now + remaining / rate, seq, tid))
+                    seq += 1
 
-            dispatch(candidates)
-
-        failed_resources: tuple[str, ...] = ()
-        stranded: tuple[int, ...] = ()
-        if any_dead:
-            names = cp.resource_names
-            failed_resources = tuple(
-                sorted(names[rid] for rid in range(num_res) if not alive[rid])
+    if capture is not None:
+        capture.started = list(start_times)
+        capture.done = list(end_times)
+    failed_resources = tuple(sorted(cp.resource_names[rid] for rid in dead))
+    stranded: tuple[int, ...] = ()
+    if len(end_times) != n:
+        if not failed_resources:
+            raise RuntimeError(
+                f"simulation finished with {len(end_times)}/{n} tasks completed; "
+                "the plan contains an unsatisfiable dependency"
             )
-        if completed != n:
-            if not failed_resources:
-                raise RuntimeError(
-                    f"simulation finished with {completed}/{n} tasks completed; "
-                    "the plan contains an unsatisfiable dependency"
-                )
-            # Once the event queue drains, every task that neither completed
-            # nor aborted can never run — it waits on a dead resource or
-            # (transitively) on an aborted task.  Account for the whole
-            # stranded subtree here; nothing needs tracking during dispatch.
-            aborted_set = set(aborted)
-            stranded = tuple(
-                sorted(
-                    tid
-                    for tid in range(n)
-                    if tid not in end_times and tid not in aborted_set
-                )
-            )
-        makespan = max(end_times.values()) if end_times else 0.0
-        return SimulationResult(
-            makespan_s=makespan,
-            trace=trace,
-            plan=cp.plan,
-            start_times=start_times,
-            end_times=end_times,
-            aborted_task_ids=tuple(aborted),
-            stranded_task_ids=stranded,
-            failed_resources=failed_resources,
+        # Once the loop ends, every task that neither completed nor aborted
+        # can never run — it waits on a dead resource or (transitively) on
+        # an aborted task.
+        aborted_set = set(aborted)
+        stranded = tuple(
+            tid for tid in range(n) if tid not in end_times and tid not in aborted_set
         )
+    return SimulationResult(
+        makespan_s=max(end_times.values()) if end_times else 0.0,
+        trace=trace,
+        plan=cp.plan,
+        start_times=start_times,
+        end_times=end_times,
+        aborted_task_ids=tuple(aborted),
+        stranded_task_ids=stranded,
+        failed_resources=failed_resources,
+    )
 
 
 def simulate(

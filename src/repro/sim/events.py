@@ -5,24 +5,15 @@
 them onto a plan's interned resource ids (dropping resources the plan never
 mentions) so the engine's hot loop only ever touches dense integers.
 
-Within one simulated timestamp, event *kinds* are ordered: task completions
-(:data:`FINISH`) settle before perturbations (:data:`PERTURB`) apply, so a
-task finishing exactly when its resource dies counts as completed.
-
-:class:`EventQueue` remains for the frozen reference engine
-(:mod:`repro.sim._reference`) and external callers; the unified engine keeps
-its own flat heap of ``(time, kind, seq, ...)`` tuples.
+Within one simulated timestamp the engine settles task completions before
+it applies the resource events timed at that instant, so a task finishing
+exactly when its resource dies counts as completed.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
-
-# Event-kind ordering within one timestamp (heap tuples sort on these).
-FINISH = 0
-PERTURB = 1
 
 
 @dataclass(frozen=True)
@@ -93,39 +84,3 @@ def compile_resource_events(
         else:
             timed.append((local, event.factor, rids))
     return initial, timed
-
-
-@dataclass(order=True)
-class Event:
-    """A task-completion event ordered by time (ties broken by sequence number)."""
-
-    time_s: float
-    sequence: int
-    task_id: int = field(compare=False)
-
-
-class EventQueue:
-    """A min-heap of completion events."""
-
-    def __init__(self) -> None:
-        self._heap: list[Event] = []
-        self._counter = 0
-
-    def push(self, time_s: float, task_id: int) -> None:
-        """Schedule the completion of ``task_id`` at ``time_s``."""
-        if time_s < 0:
-            raise ValueError("event time must be non-negative")
-        heapq.heappush(self._heap, Event(time_s=time_s, sequence=self._counter, task_id=task_id))
-        self._counter += 1
-
-    def pop(self) -> Event:
-        """Remove and return the earliest event."""
-        if not self._heap:
-            raise IndexError("pop from an empty event queue")
-        return heapq.heappop(self._heap)
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)

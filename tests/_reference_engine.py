@@ -1,11 +1,11 @@
 """Frozen pre-refactor discrete-event engine (reference semantics).
 
 This module is a verbatim copy of the engine as it stood before the
-compiled-plan rewrite (PR 4).  It is **not** part of the public API and is
-never used on hot paths; it exists so the equivalence tests and the hot-loop
-benchmark can check, bit for bit, that the unified engine in
-:mod:`repro.sim.engine` reproduces the original scheduling semantics
-(start/end times, aborts, stranding) and to quantify the speedup.
+compiled-plan rewrite, together with the completion-event queue only it
+uses.  It lives with the tests, not in the package: it exists so the
+equivalence tests and the hot-loop benchmark can check, bit for bit, that
+the engine in :mod:`repro.sim.engine` reproduces the original scheduling
+semantics (start/end times, aborts, stranding) and to quantify the speedup.
 
 Original module docstring follows.
 
@@ -31,12 +31,49 @@ makespans bit for bit.
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.core.plan import ExecutionPlan, Task
 from repro.sim.engine import SimulationResult
-from repro.sim.events import EventQueue, ResourceEvent
+from repro.sim.events import ResourceEvent
 from repro.sim.trace import Trace, TraceSpan
+
+
+@dataclass(order=True)
+class Event:
+    """A task-completion event ordered by time (ties broken by sequence number)."""
+
+    time_s: float
+    sequence: int
+    task_id: int = field(compare=False)
+
+
+class EventQueue:
+    """A min-heap of completion events."""
+
+    def __init__(self) -> None:
+        self._heap: list[Event] = []
+        self._counter = 0
+
+    def push(self, time_s: float, task_id: int) -> None:
+        """Schedule the completion of ``task_id`` at ``time_s``."""
+        if time_s < 0:
+            raise ValueError("event time must be non-negative")
+        heapq.heappush(self._heap, Event(time_s=time_s, sequence=self._counter, task_id=task_id))
+        self._counter += 1
+
+    def pop(self) -> Event:
+        """Remove and return the earliest event."""
+        if not self._heap:
+            raise IndexError("pop from an empty event queue")
+        return heapq.heappop(self._heap)
+
+    def __len__(self) -> int:
+        return len(self._heap)
+
+    def __bool__(self) -> bool:
+        return bool(self._heap)
 
 
 class ReferenceSimulator:

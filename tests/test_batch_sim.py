@@ -1,15 +1,17 @@
 """The batched lane-parallel kernel: bit-identical to sequential simulation.
 
 :func:`repro.sim.batch.simulate_batch` promises results byte-identical to N
-sequential :meth:`Simulator.run` calls, whichever internal path a lane takes
-(schedule replay, the lean recording loop, or the engine fallback).  These
-tests compare the kernel against the engine on random DAGs (dyadic
-durations, so ties are exact — the regime where replay verification has to
-be perfect), on every registered strategy's real plans, and through the
-producers that funnel into it (`simulate_iterations`,
-`simulate_iteration_states`, `measure_throughput`).  Lane dedup, structure
-grouping, `structure_key` invalidation and the `batch_simulate` telemetry
-are pinned down alongside.
+sequential :meth:`Simulator.run` calls, whichever path a lane takes: schedule
+replay, or the engine itself (a pilot run that captures its schedule, or an
+uncaptured run for traced, timed-event and failure lanes).  These tests
+compare the kernel against the engine on random DAGs (dyadic durations, so
+ties are exact — the regime where replay verification has to be perfect),
+on every registered strategy's real plans, and through the producers that
+funnel into it (`simulate_iterations`, `simulate_iteration_states`,
+`measure_throughput`).  The `batch_simulate` telemetry pins down that replay
+actually engages where it should and never where it must not; lane dedup,
+structure grouping and `structure_key` invalidation are pinned down
+alongside.
 """
 
 import dataclasses
@@ -172,6 +174,63 @@ class TestRandomDagEquivalence:
         results = simulate_batch(cp, lanes)
         for i, (lane, result) in enumerate(zip(lanes, results)):
             _assert_identical(result, _reference(cp, lane), i)
+
+
+class TestReplayEngages:
+    """Bit-identity cannot see replay silently switched off; telemetry can.
+
+    Power-of-two scaling keeps dyadic completion instants exactly in order
+    and exactly tied, so those lanes must replay the pilot's schedule.
+    Trace recording and timed events take the uncaptured engine path and
+    must never count as replayed.
+    """
+
+    @staticmethod
+    def _replayed(cp, lanes, **kwargs):
+        sink = ListSink()
+        with Telemetry(sink=sink) as tele:
+            results = simulate_batch(
+                cp, lanes, dedup=False, telemetry=tele, **kwargs
+            )
+        (event,) = [e for e in sink.events if e["type"] == "batch_simulate"]
+        return event["replayed"], results
+
+    @staticmethod
+    def _scaled_lanes(cp, events=()):
+        return [Lane(events=events)] + [
+            Lane(durations=tuple(d * s for d in cp.durations), events=events)
+            for s in (0.5, 2.0)
+        ]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_half_and_double_lanes_replay(self, seed):
+        cp = compile_plan(_random_plan(random.Random(seed)))
+        lanes = self._scaled_lanes(cp)
+        replayed, results = self._replayed(cp, lanes)
+        assert replayed == 2, seed
+        for i, (lane, result) in enumerate(zip(lanes, results)):
+            _assert_identical(result, _reference(cp, lane), (seed, i))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_record_trace_lanes_never_replay(self, seed):
+        cp = compile_plan(_random_plan(random.Random(seed)))
+        replayed, _ = self._replayed(cp, self._scaled_lanes(cp), record_trace=True)
+        assert replayed == 0
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_timed_event_lanes_never_replay(self, seed):
+        rng = random.Random(3000 + seed)
+        plan = _random_plan(rng)
+        while not plan.tasks[0].resources:  # the event must touch the plan
+            plan = _random_plan(rng)
+        cp = compile_plan(plan)
+        time_s = rng.randint(1, 640) / 64.0
+        events = (ResourceEvent(time_s, plan.tasks[0].resources, 0.5),)
+        lanes = self._scaled_lanes(cp, events)
+        replayed, results = self._replayed(cp, lanes)
+        assert replayed == 0
+        for i, (lane, result) in enumerate(zip(lanes, results)):
+            _assert_identical(result, _reference(cp, lane), (seed, i))
 
 
 class TestErrorParity:

@@ -3,7 +3,7 @@
 The engine rewrite (interned resources, indexed waiter dispatch, one core for
 the static and dynamic cases) must not change scheduling semantics.  These
 tests compare :class:`repro.sim.engine.Simulator` against the verbatim
-pre-refactor engine in :mod:`repro.sim._reference` on randomly generated DAGs
+pre-refactor engine in ``tests/_reference_engine.py`` on randomly generated DAGs
 and on every registered strategy's real plans — start times, end times,
 aborted/stranded sets, failed resources and trace spans, all bit-identical.
 
@@ -21,9 +21,9 @@ semantics.  ``TestExactDrain`` pins down the intended behaviour change.
 import random
 
 import pytest
+from _reference_engine import EventQueue, ReferenceSimulator
 
 from repro.core.plan import ExecutionPlan, Task, TaskKind
-from repro.sim._reference import ReferenceSimulator
 from repro.sim.compile import CompiledPlan
 from repro.sim.engine import Simulator
 from repro.sim.events import ResourceEvent
@@ -92,6 +92,30 @@ def _assert_identical(new, old, context):
     assert new.stranded_task_ids == old.stranded_task_ids, context
     assert new.failed_resources == old.failed_resources, context
     assert new.trace.spans == old.trace.spans, context
+
+
+class TestEventQueue:
+    def test_orders_by_time(self):
+        q = EventQueue()
+        q.push(3.0, 1)
+        q.push(1.0, 2)
+        q.push(2.0, 3)
+        assert [q.pop().task_id for _ in range(3)] == [2, 3, 1]
+
+    def test_ties_preserve_insertion_order(self):
+        q = EventQueue()
+        q.push(1.0, 10)
+        q.push(1.0, 20)
+        assert q.pop().task_id == 10
+        assert q.pop().task_id == 20
+
+    def test_pop_empty_raises(self):
+        with pytest.raises(IndexError):
+            EventQueue().pop()
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(ValueError):
+            EventQueue().push(-1.0, 0)
 
 
 class TestRandomDagEquivalence:

@@ -7,13 +7,12 @@ simulator -> throughput, compared against every baseline on identical batches.
 
 import pytest
 
+from repro.api import Session, SessionConfig
 from repro.core.plan import TaskKind
 from repro.core.strategy import StrategyContext
 from repro.core.zeppelin import ZeppelinStrategy
 from repro.data.datasets import SyntheticDataset
 from repro.sim.engine import Simulator
-from repro.training.runner import TrainingRun, TrainingRunConfig
-from repro.training.throughput import measure_throughput
 
 
 class TestHeadlineClaim:
@@ -21,8 +20,8 @@ class TestHeadlineClaim:
 
     @pytest.mark.parametrize("dataset", ["arxiv", "github", "prolong64k"])
     def test_zeppelin_wins_on_every_dataset(self, dataset):
-        run = TrainingRun(
-            TrainingRunConfig(
+        run = Session(
+            SessionConfig(
                 model="7b",
                 num_gpus=16,
                 dataset=dataset,
@@ -31,8 +30,8 @@ class TestHeadlineClaim:
                 seed=3,
             )
         )
-        reports = run.compare(("te_cp", "llama_cp", "hybrid_dp", "zeppelin"))
-        by_name = {r.strategy: r.tokens_per_second for r in reports}
+        reports = run.compare(("te_cp", "llama_cp", "hybrid_dp", "zeppelin")).runs
+        by_name = {r.label: r.tokens_per_second for r in reports}
         zeppelin = by_name["Zeppelin"]
         assert zeppelin == max(by_name.values())
         # The paper reports 1.8x-6.6x over TE CP across configurations.
@@ -43,8 +42,8 @@ class TestHeadlineClaim:
         (the Fig. 8 observation)."""
         speedups = {}
         for dataset in ("arxiv", "prolong64k"):
-            run = TrainingRun(
-                TrainingRunConfig(
+            run = Session(
+                SessionConfig(
                     model="7b",
                     num_gpus=16,
                     dataset=dataset,
@@ -53,7 +52,7 @@ class TestHeadlineClaim:
                     seed=0,
                 )
             )
-            reports = run.compare(("te_cp", "zeppelin"))
+            reports = run.compare(("te_cp", "zeppelin")).runs
             speedups[dataset] = reports[1].tokens_per_second / reports[0].tokens_per_second
         assert speedups["arxiv"] > speedups["prolong64k"]
 
@@ -62,8 +61,8 @@ class TestMoEBehaviour:
     def test_hybrid_dp_is_weak_for_moe(self):
         """Hybrid DP's FLOP-based assignment underperforms for the MoE model
         (the Fig. 8 bottom-row observation)."""
-        run = TrainingRun(
-            TrainingRunConfig(
+        run = Session(
+            SessionConfig(
                 model="8x550m",
                 num_gpus=16,
                 dataset="arxiv",
@@ -71,8 +70,8 @@ class TestMoEBehaviour:
                 num_steps=2,
             )
         )
-        reports = run.compare(("te_cp", "llama_cp", "hybrid_dp", "zeppelin"))
-        by_name = {r.strategy: r.tokens_per_second for r in reports}
+        reports = run.compare(("te_cp", "llama_cp", "hybrid_dp", "zeppelin")).runs
+        by_name = {r.label: r.tokens_per_second for r in reports}
         assert by_name["Hybrid DP"] < by_name["Zeppelin"]
         assert by_name["Zeppelin"] == max(by_name.values())
 
@@ -81,8 +80,8 @@ class TestPlanConsistency:
     def test_forward_and_backward_plans_simulate_for_every_strategy(self, context_16):
         dataset = SyntheticDataset(name="github", total_context=64 * 1024, seed=11)
         batch = dataset.batch()
-        run = TrainingRun(
-            TrainingRunConfig(
+        run = Session(
+            SessionConfig(
                 model="7b", num_gpus=16, dataset="github", total_context=64 * 1024, num_steps=1
             )
         )
@@ -115,8 +114,8 @@ class TestPlanConsistency:
 
 class TestTensorParallelConfiguration:
     def test_13b_with_tp2_runs_and_zeppelin_wins(self):
-        run = TrainingRun(
-            TrainingRunConfig(
+        run = Session(
+            SessionConfig(
                 model="13b",
                 num_gpus=32,
                 dataset="arxiv",
@@ -125,14 +124,14 @@ class TestTensorParallelConfiguration:
                 num_steps=1,
             )
         )
-        reports = run.compare(("te_cp", "zeppelin"))
+        reports = run.compare(("te_cp", "zeppelin")).runs
         assert reports[1].tokens_per_second > reports[0].tokens_per_second
 
 
 class TestClusterCInfrastructure:
     def test_30b_on_cluster_c(self):
-        run = TrainingRun(
-            TrainingRunConfig(
+        run = Session(
+            SessionConfig(
                 model="30b",
                 cluster_preset="C",
                 num_gpus=32,
@@ -142,6 +141,6 @@ class TestClusterCInfrastructure:
                 num_steps=1,
             )
         )
-        reports = run.compare(("te_cp", "llama_cp", "zeppelin"))
-        by_name = {r.strategy: r.tokens_per_second for r in reports}
+        reports = run.compare(("te_cp", "llama_cp", "zeppelin")).runs
+        by_name = {r.label: r.tokens_per_second for r in reports}
         assert by_name["Zeppelin"] == max(by_name.values())

@@ -1,36 +1,13 @@
 """Tests for the discrete-event simulator."""
 
 import pytest
+from _reference_engine import ReferenceSimulator
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.plan import ExecutionPlan, TaskKind
 from repro.sim.engine import Simulator, simulate
-from repro.sim.events import EventQueue, ResourceEvent
-
-
-class TestEventQueue:
-    def test_orders_by_time(self):
-        q = EventQueue()
-        q.push(3.0, 1)
-        q.push(1.0, 2)
-        q.push(2.0, 3)
-        assert [q.pop().task_id for _ in range(3)] == [2, 3, 1]
-
-    def test_ties_preserve_insertion_order(self):
-        q = EventQueue()
-        q.push(1.0, 10)
-        q.push(1.0, 20)
-        assert q.pop().task_id == 10
-        assert q.pop().task_id == 20
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(IndexError):
-            EventQueue().pop()
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            EventQueue().push(-1.0, 0)
+from repro.sim.events import ResourceEvent
 
 
 class TestSimulator:
@@ -272,6 +249,62 @@ class TestDynamicSimulator:
         assert not result.failed
         assert result.aborted_task_ids == ()
         assert result.stranded_task_ids == ()
+
+
+def _run_both(plan, events):
+    """The engine's result, after checking it against the frozen reference."""
+    new = simulate(plan, events=events)
+    old = ReferenceSimulator(exact_drain=True).run(plan, events=events)
+    assert new.makespan_s == old.makespan_s
+    assert new.start_times == old.start_times
+    assert new.end_times == old.end_times
+    assert new.aborted_task_ids == old.aborted_task_ids
+    assert new.stranded_task_ids == old.stranded_task_ids
+    assert new.failed_resources == old.failed_resources
+    assert new.trace.spans == old.trace.spans
+    return new
+
+
+class TestEventLoopEdgeCases:
+    """Semantics that hinge on how the event loop orders its work."""
+
+    def test_failure_after_last_completion_is_still_applied(self):
+        # Timed events keep draining after the last completion, so the dead
+        # resource is reported even though the plan itself finished.
+        result = _run_both(
+            _chain_plan(), [ResourceEvent(50.0, ("compute:0",), None)]
+        )
+        assert result.failed_resources == ("compute:0",)
+        assert not result.failed
+        assert result.completed_tasks == 2
+        assert result.makespan_s == 5.0
+
+    def test_retime_to_same_factor_completes_task_once(self):
+        # Re-timing at an unchanged speed pushes a second completion at the
+        # identical instant; the stale first one must be skipped.
+        plan = ExecutionPlan()
+        a = plan.add("a", TaskKind.ATTENTION, 2.0, ("compute:0",))
+        plan.add("b", TaskKind.LINEAR, 1.0, ("compute:0",), deps=[a])
+        result = _run_both(plan, [ResourceEvent(1.0, ("compute:0",), 1.0)])
+        assert result.end_times == {0: 2.0, 1: 3.0}
+        assert [span.task_id for span in result.trace.spans] == [0, 1]
+        assert not result.failed
+
+    def test_waiter_whose_other_resource_died_is_stranded(self):
+        # "b" parks on the busy live resource "x"; its other resource "y"
+        # dies while it waits, so when "x" frees "b" must not start.
+        plan = ExecutionPlan()
+        plan.add("a", TaskKind.ATTENTION, 2.0, ("x",))
+        plan.add("b", TaskKind.LINEAR, 1.0, ("x", "y"))
+        plan.add("c", TaskKind.LINEAR, 1.0, ("x",))
+        result = _run_both(plan, [ResourceEvent(1.0, ("y",), None)])
+        assert 1 not in result.start_times
+        assert result.stranded_task_ids == (1,)
+        assert result.aborted_task_ids == ()
+        assert result.failed_resources == ("y",)
+        assert result.failed
+        # The live resource still serves the next waiter.
+        assert result.end_times == {0: 2.0, 2: 3.0}
 
 
 class TestSimulatorProperties:

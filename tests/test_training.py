@@ -2,16 +2,12 @@
 
 import pytest
 
+from repro.api import Session, SessionConfig, build_cluster
 from repro.core.zeppelin import ZeppelinStrategy
 from repro.baselines.te_cp import TransformerEngineCPStrategy
 from repro.data.sampler import Batch
+from repro.registry import get_strategy
 from repro.training.iteration import simulate_iteration
-from repro.training.runner import (
-    TrainingRun,
-    TrainingRunConfig,
-    build_cluster,
-    build_strategy,
-)
 from repro.training.throughput import measure_throughput, speedup_table
 
 
@@ -74,56 +70,56 @@ class TestMeasureThroughput:
             speedup_table([te], baseline_name="nope")
 
 
-class TestTrainingRunConfig:
+class TestSessionConfig:
     def test_tokens_per_gpu_and_dp_rank(self):
-        config = TrainingRunConfig(model="7b", num_gpus=16, total_context=64 * 1024)
+        config = SessionConfig(model="7b", num_gpus=16, total_context=64 * 1024)
         assert config.tokens_per_gpu == 4096
         assert config.tokens_per_dp_rank == 4096
-        tp = TrainingRunConfig(
+        tp = SessionConfig(
             model="13b", num_gpus=32, total_context=64 * 1024, tensor_parallel=2
         )
         assert tp.tokens_per_dp_rank == 4096
 
     def test_gpu_count_must_be_multiple_of_eight(self):
         with pytest.raises(ValueError):
-            TrainingRunConfig(model="7b", num_gpus=12)
+            SessionConfig(model="7b", num_gpus=12)
 
     def test_build_cluster_presets(self):
         for preset, device in (("A", "A800"), ("B", "H800"), ("C", "H200")):
-            config = TrainingRunConfig(model="7b", cluster_preset=preset, num_gpus=16)
+            config = SessionConfig(model="7b", cluster_preset=preset, num_gpus=16)
             assert build_cluster(config).device_type == device
         with pytest.raises(ValueError):
-            build_cluster(TrainingRunConfig(model="7b", cluster_preset="Z", num_gpus=16))
+            build_cluster(SessionConfig(model="7b", cluster_preset="Z", num_gpus=16))
 
 
-class TestTrainingRun:
+class TestSession:
     def test_compare_returns_all_strategies(self):
-        run = TrainingRun(
-            TrainingRunConfig(
+        run = Session(
+            SessionConfig(
                 model="3b", num_gpus=16, dataset="arxiv", total_context=32768, num_steps=1
             )
         )
-        reports = run.compare(("te_cp", "zeppelin"))
-        assert [r.strategy for r in reports] == ["TE CP", "Zeppelin"]
+        reports = run.compare(("te_cp", "zeppelin")).runs
+        assert [r.label for r in reports] == ["TE CP", "Zeppelin"]
         assert reports[1].tokens_per_second > reports[0].tokens_per_second
 
     def test_unknown_strategy_rejected(self):
-        run = TrainingRun(
-            TrainingRunConfig(
+        run = Session(
+            SessionConfig(
                 model="3b", num_gpus=16, dataset="arxiv", total_context=32768, num_steps=1
             )
         )
         with pytest.raises(ValueError):
             run.strategy("fsdp")
 
-    def test_build_strategy_kwargs_forwarded(self, context_3b_16):
-        strategy = build_strategy("zeppelin", context_3b_16, use_routing=False)
+    def test_strategy_kwargs_forwarded(self, context_3b_16):
+        strategy = get_strategy("zeppelin").obj(context_3b_16, use_routing=False)
         assert "no routing" in strategy.name
 
     def test_batches_are_reproducible(self):
-        config = TrainingRunConfig(
+        config = SessionConfig(
             model="3b", num_gpus=16, dataset="github", total_context=32768, num_steps=2, seed=5
         )
-        a = TrainingRun(config)
-        b = TrainingRun(config)
+        a = Session(config)
+        b = Session(config)
         assert [x.lengths for x in a.batches] == [x.lengths for x in b.batches]
