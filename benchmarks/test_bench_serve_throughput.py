@@ -5,12 +5,17 @@ strategy mix) through :class:`~repro.serve.driver.ServeSimulation` and
 measures how many requests the serving stack retires per *real* second —
 queueing, batching, cache lookups and the underlying simulations included.
 
-Two regression guards:
+Three regression guards:
 
 * the warm path (plan caches + in-run result cache populated) must clear a
-  conservative requests/sec floor, and
+  conservative requests/sec floor,
 * caching must collapse the repeated-cell mix to one simulation per distinct
-  cell — the property that makes heavy traffic affordable at all.
+  cell — the property that makes heavy traffic affordable at all, and
+* the serving loop's cost per request must not grow with load: warm wall
+  time per request at 16x the base rate (where the queue grows to thousands
+  of requests) stays within ``MAX_OVERLOAD_RATIO`` of the base rate's, over
+  the same window and mix.  A ratio of two runs on one machine, so it holds
+  on slow and fast hosts alike.
 
 CI runs this file as a perf smoke step and uploads the printed table as a
 workflow artifact, so per-PR serving-throughput trajectories stay
@@ -31,6 +36,12 @@ MIX = {"zeppelin": 2.0, "te_cp": 1.0, "llama_cp": 1.0}
 # of magnitude of headroom for slow CI machines.
 MIN_WARM_RPS = 200.0
 
+# Overload gate: warm seconds per request at OVERLOAD_RATE_RPS over the same
+# at RATE_RPS.  Measured ~0.8 on a 2-vCPU container; a queue walk per arrival
+# or dispatch would put it far above.
+OVERLOAD_RATE_RPS = 16 * RATE_RPS
+MAX_OVERLOAD_RATIO = 2.0
+
 CLOSED_SPEC = ServeSpec(
     mix=MIX,
     arrival="closed",
@@ -43,11 +54,19 @@ CLOSED_SPEC = ServeSpec(
 )
 
 
-def _serve(session):
-    sim = ServeSimulation(
-        session, MIX, rate=RATE_RPS, duration_s=DURATION_S, concurrency=4
-    )
+def _serve(session, rate=RATE_RPS):
+    sim = ServeSimulation(session, MIX, rate=rate, duration_s=DURATION_S, concurrency=4)
     return sim.run()
+
+
+def _warm_s_per_request(session, rate, rounds=3):
+    """Median warm wall seconds per request of ``rounds`` runs at ``rate``."""
+    samples = []
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        result = _serve(session, rate)
+        samples.append((time.perf_counter() - t0) / result.num_requests)
+    return sorted(samples)[len(samples) // 2], result
 
 
 def test_bench_serve_throughput(benchmark, printed_results):
@@ -103,11 +122,11 @@ def test_bench_serve_throughput(benchmark, printed_results):
 
 
 def test_bench_serve_closed_loop(benchmark, printed_results):
-    """Closed-loop serving with SLO-aware admission: the full tentpole path.
+    """Closed-loop serving with SLO-aware admission.
 
-    Exercises per-arrival AdmissionContext construction (queued-work and
-    cost-estimate lookups), closed-loop re-issuance and shedding — the
-    per-request overhead the open-loop benchmark does not touch.
+    Exercises what the open-loop benchmark does not: ``slo_aware`` reads the
+    queued work on every arrival (an admission-order walk of the queue with
+    one cost lookup per cell), plus closed-loop re-issuance and shedding.
     """
     session = Session(
         model="3b", num_gpus=16, dataset="arxiv", total_context=32 * 1024, num_steps=1
@@ -144,6 +163,40 @@ def test_bench_serve_closed_loop(benchmark, printed_results):
                 f"(cache hit rate {warm.cache_hit_rate:.1%})",
                 f"  warm serve            : {warm_s * 1e3:9.2f} ms "
                 f"({warm_rps:,.0f} req/s, floor {MIN_WARM_RPS:,.0f})",
+            ]
+        )
+    )
+
+
+def test_bench_serve_overload_ratio(printed_results):
+    """Host cost per request at 16x load stays within 2x of the base load's."""
+    session = Session(
+        model="3b", num_gpus=16, dataset="arxiv", total_context=32 * 1024, num_steps=1
+    )
+    _serve(session)  # plan every cell once; both rates then run warm
+    base_s, base = _warm_s_per_request(session, RATE_RPS)
+    over_s, over = _warm_s_per_request(session, OVERLOAD_RATE_RPS)
+    assert over.completed == over.num_requests > 10 * base.num_requests
+    assert over.max_queue_depth > 10 * base.max_queue_depth  # it is overloaded
+    ratio = over_s / base_s
+    assert ratio <= MAX_OVERLOAD_RATIO, (
+        f"serve loop cost grows with load: {over_s * 1e6:.1f} us/request at "
+        f"{OVERLOAD_RATE_RPS:.0f} rps vs {base_s * 1e6:.1f} at {RATE_RPS:.0f} "
+        f"(ratio {ratio:.2f}, limit {MAX_OVERLOAD_RATIO:.1f})"
+    )
+
+    printed_results.append(
+        "\n".join(
+            [
+                "Serving cost per request under overload (open-loop poisson, "
+                f"{len(MIX)}-cell mix, concurrency 4, {DURATION_S:.0f}s window)",
+                f"  {RATE_RPS:6.0f} rps            : {base_s * 1e6:8.1f} "
+                f"us/request ({base.num_requests} requests, "
+                f"max depth {base.max_queue_depth})",
+                f"  {OVERLOAD_RATE_RPS:6.0f} rps            : {over_s * 1e6:8.1f} "
+                f"us/request ({over.num_requests} requests, "
+                f"max depth {over.max_queue_depth})",
+                f"  ratio                 : {ratio:.2f} (limit {MAX_OVERLOAD_RATIO:.1f})",
             ]
         )
     )

@@ -22,10 +22,11 @@ well-known session/run fields, everything else rides along as inert tags.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import product
 from types import MappingProxyType
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any
 
 # Point fields consumed when building the Session a point executes under.
 SESSION_FIELDS = (
@@ -54,12 +55,13 @@ _EXECUTION_FIELDS = frozenset(SESSION_FIELDS) | frozenset(RUN_FIELDS)
 
 def _canonical(value: Any) -> Any:
     """Normalise a point value into canonical JSON-safe form."""
+    # Scalars first: they are most values, and the abc check is the slow one.
+    if value is None or isinstance(value, (str, int, float)):
+        return value
     if isinstance(value, Mapping):
         return {str(k): _canonical(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_canonical(v) for v in value]
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
     raise TypeError(
         f"sweep point values must be JSON-representable, got {type(value).__name__}: "
         f"{value!r}"

@@ -9,8 +9,9 @@ costs one simulation.  Execution funnels through the same
 :class:`~repro.exec.worker.SessionPool` rooted at the serving session, so
 plan compilation and batch sampling are shared across requests exactly like
 across sweep points — plus an in-run result cache keyed by the point's
-canonical JSON (the same identity :mod:`repro.exec.cache` hashes), so a cell
-seen twice skips the simulation entirely.
+canonical JSON (the same identity :mod:`repro.exec.cache` hashes, computed
+once per config and cell), so a cell seen twice skips the simulation
+entirely.
 
 Below the cache sits the batched simulation kernel: a cell's simulation runs
 through :func:`~repro.training.throughput.measure_throughput`, whose
@@ -79,12 +80,12 @@ class Batcher:
         # Entries are stored at dispatch but only *answer* requests causally:
         # before ready_at_s a later batch joins the in-flight execution.
         self._results: dict[str, tuple[float, dict[str, Any]]] = {}
-        # The config new dispatches resolve against.  The autoscaler swaps it
-        # via rescale(); points are keyed per (config, cell) so each capacity
-        # level keeps its own execution identity (and thus cache entries).
-        self._config_dict = session.config.to_dict()
-        self._config_key = SweepPoint(self._config_dict).canonical_json()
-        self._points: dict[tuple[str, RequestCell], SweepPoint] = {}
+        # config key -> {cell: (point, execution key)}.  The execution key is
+        # the point's canonical JSON, computed once per (config, cell): each
+        # capacity level keeps its own execution identity (and thus cache
+        # entries), and lookups per request are dict reads.
+        self._resolved: dict[str, dict[RequestCell, tuple[SweepPoint, str]]] = {}
+        self._set_config(session.config)
 
     # -- capacity ----------------------------------------------------------------
 
@@ -96,8 +97,13 @@ class Batcher:
         already built), and revisiting a previously seen capacity reuses its
         cached points and results.
         """
+        self._set_config(config)
+
+    def _set_config(self, config: Any) -> None:
+        """Make ``config`` the one new dispatches resolve against."""
         self._config_dict = config.to_dict()
-        self._config_key = SweepPoint(self._config_dict).canonical_json()
+        config_key = SweepPoint(self._config_dict).canonical_json()
+        self._cells = self._resolved.setdefault(config_key, {})
 
     # -- request -> execution identity -------------------------------------------
 
@@ -107,8 +113,12 @@ class Batcher:
         Resolves the cell's strategy through the registry on first sight, so
         a bad mix fails before any request is simulated.
         """
-        point = self._points.get((self._config_key, cell))
-        if point is None:
+        return self._resolve(cell)[0]
+
+    def _resolve(self, cell: RequestCell) -> tuple[SweepPoint, str]:
+        """``(point, execution key)`` of ``cell`` at the current config."""
+        resolved = self._cells.get(cell)
+        if resolved is None:
             get_strategy(cell.strategy)
             values = {
                 **self._config_dict,
@@ -121,8 +131,8 @@ class Batcher:
                 "num_iterations": 32,
             }
             point = SweepPoint(values)
-            self._points[(self._config_key, cell)] = point
-        return point
+            resolved = self._cells[cell] = (point, point.canonical_json())
+        return resolved
 
     def cost_estimate(self, cell: RequestCell) -> float | None:
         """Measured service time of ``cell`` at the current capacity, if known.
@@ -132,8 +142,7 @@ class Batcher:
         time is the estimate.  This is what SLO-aware admission and the
         deadline batcher consult — no separate model, just the cache.
         """
-        key = self.point_for(cell).canonical_json()
-        entry = self._results.get(key)
+        entry = self._results.get(self._resolve(cell)[1])
         if entry is None:
             return None
         return float(entry[1]["iteration_time_s"])
@@ -158,8 +167,7 @@ class Batcher:
         caches are shared) and takes the measured iteration time.
         """
         cell = requests[0].cell
-        point = self.point_for(cell)
-        key = point.canonical_json()
+        point, key = self._resolve(cell)
         cached = self._results.get(key) if self.cache else None
         if cached is not None:
             ready_at_s, _ = cached

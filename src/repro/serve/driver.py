@@ -214,17 +214,23 @@ class ServeSimulation:
         sketch: LatencySketch,
         completion_rate: WindowedRate,
     ) -> AdmissionContext:
+        # Queued work walks the queue, so it is computed only if the policy
+        # reads it; the offer that consumes this context reads it (if at
+        # all) before the request is pushed, so it sees this queue state.
         return AdmissionContext(
             now_s=now,
             queue_depth=self.queue.depth,
-            queued_work_s=self.queue.queued_work_s(self.batcher.cost_estimate),
             in_flight=in_flight,
             concurrency=self.queue.concurrency,
             slo_s=self.slo_s,
             latency=sketch,
             completion_rate=completion_rate,
             cost_estimate=self.batcher.cost_estimate,
+            queued_work=self._queued_work_s,
         )
+
+    def _queued_work_s(self) -> float:
+        return self.queue.queued_work_s(self.batcher.cost_estimate)
 
     def _reissue(self, request: Request, now: float, pending: list) -> None:
         """Issue the closed-loop client's next request after this one ends."""

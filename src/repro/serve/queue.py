@@ -2,7 +2,7 @@
 
 The :class:`RequestQueue` holds requests that have arrived but not yet been
 dispatched, ordered by an :class:`AdmissionPolicy` sort key.  Policies see
-one :class:`AdmissionContext` — a snapshot of queue state, the driver's
+one :class:`AdmissionContext` — the queue state at the decision, the driver's
 streaming latency/completion sketches and per-cell cost estimates — and may
 both *order* the queue (:meth:`AdmissionPolicy.key`) and *shed* requests
 predicted to be not worth serving (:meth:`AdmissionPolicy.admit`).
@@ -16,21 +16,21 @@ Three policies register with :mod:`repro.registry`:
   estimate plus the cached cell cost) misses the run's ``slo_s``, and
   orders survivors least-slack-first.
 
-Third-party policies written against the old single-argument ``key(request)``
-contract still work: :func:`as_admission` wraps them in a deprecation shim
-that drops the context and warns once.
-
 The queue also owns the serving concurrency limit: the driver asks
 :meth:`RequestQueue.can_dispatch` before starting another batch execution,
 so at most ``concurrency`` executions are ever in flight.
+
+Queue operations do not walk the queue: requests are kept in one key-sorted
+list per cell and the head is the smallest head across cells.  The one
+O(depth) quantity, the context's queued work, is computed only when a policy
+reads it (``slo_aware`` does, once per arrival; ``fifo`` and ``priority``
+never do).
 """
 
 from __future__ import annotations
 
 import bisect
-import inspect
-import warnings
-from dataclasses import dataclass, field
+import heapq
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.registry import get_admission, register_admission
@@ -40,17 +40,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.sketch import LatencySketch, WindowedRate
 
 
-@dataclass
 class AdmissionContext:
     """Everything an admission policy may consult for one decision.
 
-    A fresh snapshot is built by the serve driver per admission; all times
-    are virtual seconds of the serving clock, so decisions are deterministic
-    per seed.  ``latency`` and ``completion_rate`` are the driver's *live*
-    streaming sketches (the same objects feeding telemetry and the final
-    :class:`~repro.results.ServeResult`), not copies — a policy subscribes
-    to the signals that are already measured instead of growing new
-    plumbing.
+    The serve driver builds one context per arrival.  Every field is cheap
+    to fill in except :attr:`queued_work_s`, which walks the queue: the
+    driver passes it as a ``queued_work`` callable instead, evaluated the
+    first time a policy reads the attribute and then kept for the rest of
+    the decision, so policies that never read it (``fifo``, ``priority``)
+    never pay for it.  Passing ``queued_work_s=`` directly still works.
+    All times are virtual seconds of the serving clock, so decisions are
+    deterministic per seed.  ``latency`` and ``completion_rate`` are the
+    driver's *live* streaming sketches (the same objects feeding telemetry
+    and the final :class:`~repro.results.ServeResult`), not copies.
 
     Attributes
     ----------
@@ -71,17 +73,38 @@ class AdmissionContext:
         (``None`` until a cell has executed once).
     """
 
-    now_s: float = 0.0
-    queue_depth: int = 0
-    queued_work_s: float = 0.0
-    in_flight: int = 0
-    concurrency: int = 1
-    slo_s: float | None = None
-    latency: "LatencySketch | None" = None
-    completion_rate: "WindowedRate | None" = None
-    cost_estimate: "Callable[[RequestCell], float | None] | None" = field(
-        default=None, repr=False
-    )
+    def __init__(
+        self,
+        now_s: float = 0.0,
+        queue_depth: int = 0,
+        queued_work_s: float | None = None,
+        in_flight: int = 0,
+        concurrency: int = 1,
+        slo_s: float | None = None,
+        latency: "LatencySketch | None" = None,
+        completion_rate: "WindowedRate | None" = None,
+        cost_estimate: "Callable[[RequestCell], float | None] | None" = None,
+        *,
+        queued_work: "Callable[[], float] | None" = None,
+    ):
+        self.now_s = now_s
+        self.queue_depth = queue_depth
+        self.in_flight = in_flight
+        self.concurrency = concurrency
+        self.slo_s = slo_s
+        self.latency = latency
+        self.completion_rate = completion_rate
+        self.cost_estimate = cost_estimate
+        self._queued_work_s = queued_work_s
+        self._queued_work = queued_work
+
+    @property
+    def queued_work_s(self) -> float:
+        """Estimated service seconds queued (computed on first read)."""
+        if self._queued_work_s is None:
+            work = self._queued_work
+            self._queued_work_s = work() if work is not None else 0.0
+        return self._queued_work_s
 
     def estimated_cost_s(self, cell: RequestCell) -> float | None:
         """The cached service-time estimate for ``cell`` (``None`` if unseen)."""
@@ -184,80 +207,31 @@ class SloAwareAdmission(AdmissionPolicy):
         return (request.arrival_s, request.rid)
 
 
-def _takes_context(method: Any) -> bool:
-    """Whether a bound policy method accepts the (request, ctx) contract."""
-    try:
-        sig = inspect.signature(method)
-    except (TypeError, ValueError):  # builtins/partials without signatures
-        return True
-    params = list(sig.parameters.values())
-    if any(p.kind is inspect.Parameter.VAR_POSITIONAL for p in params):
-        return True
-    positional = [
-        p
-        for p in params
-        if p.kind
-        in (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
-    ]
-    return len(positional) >= 2
-
-
-class LegacyAdmissionAdapter(AdmissionPolicy):
-    """Shim wrapping a pre-AdmissionContext policy (``key(request)`` only).
-
-    Keeps third-party policies working while warning that the single
-    argument contract is deprecated; such policies cannot shed (their
-    ``admit`` is always true) or consult queue state.
-    """
-
-    def __init__(self, inner: Any):
-        self._inner = inner
-        self.name = getattr(inner, "name", type(inner).__name__)
-        warnings.warn(
-            f"admission policy {self.name!r} uses the deprecated key(request) "
-            "signature; update it to key(request, ctx) to receive the "
-            "AdmissionContext (queue state, latency sketches, cost estimates)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def key(self, request: Request, ctx: AdmissionContext | None = None) -> tuple[Any, ...]:
-        return self._inner.key(request)
-
-    def admit(self, request: Request, ctx: AdmissionContext | None = None) -> bool:
-        admit = getattr(self._inner, "admit", None)
-        if admit is None:
-            return True
-        return admit(request) if not _takes_context(admit) else admit(request, ctx)
-
-
 def as_admission(admission: "str | AdmissionPolicy | None") -> AdmissionPolicy:
     """Normalise the ``admission`` argument of the serve driver.
 
-    Instances and registry names resolve as before; policies still written
-    against the old ``key(request)`` signature are wrapped in a
-    :class:`LegacyAdmissionAdapter` (with a ``DeprecationWarning``) so they
-    keep working under the :class:`AdmissionContext` contract.
+    ``None`` means ``fifo``; a string resolves through the admission
+    registry; any other object is used as the policy instance.
     """
-    if isinstance(admission, AdmissionPolicy) or (
-        admission is not None and not isinstance(admission, str)
-    ):
-        policy = admission
-    elif admission is None:
-        policy = FifoAdmission()
-    else:
-        policy = get_admission(admission).obj()
-    if not _takes_context(policy.key):
-        return LegacyAdmissionAdapter(policy)
-    return policy
+    if admission is None:
+        return FifoAdmission()
+    if isinstance(admission, str):
+        return get_admission(admission).obj()
+    return admission
 
 
 class RequestQueue:
     """Admission-ordered queue of waiting requests.
 
-    Kept as a key-sorted list (queue depths are small relative to the cost of
-    a simulation, and a scan is what the batcher needs anyway); every
-    operation is deterministic because admission keys are unique.
+    Requests are kept in one list per cell, each sorted by ``(admission
+    key, push sequence)``; the next request is the smallest head across the
+    cells.  That is the order of one key-sorted list with ties in arrival
+    order, but :meth:`peek` and :meth:`pop` scan only the cell heads,
+    :meth:`count_matching` is a length and :meth:`take_matching` slices the
+    front of one cell's list, so none of them walks the whole queue.  Keys
+    need not be monotone within a cell (``slo_aware`` keys change once a
+    cell's cost becomes known): pushes insert by bisection.  Every operation
+    is deterministic because the push sequence breaks every tie.
     """
 
     def __init__(self, admission: "str | AdmissionPolicy | None" = None, concurrency: int = 4):
@@ -265,18 +239,21 @@ class RequestQueue:
             raise ValueError(f"concurrency must be >= 1, got {concurrency}")
         self.admission = as_admission(admission)
         self.concurrency = concurrency
-        self._items: list[tuple[tuple[Any, ...], Request]] = []
+        # cell -> [(key, seq, request)] in order; empty cells are dropped.
+        self._cells: dict[Any, list[tuple[tuple[Any, ...], int, Request]]] = {}
+        self._depth = 0
+        self._seq = 0
 
     def __len__(self) -> int:
-        return len(self._items)
+        return self._depth
 
     @property
     def depth(self) -> int:
-        return len(self._items)
+        return self._depth
 
     def can_dispatch(self, in_flight: int) -> bool:
         """Whether another execution may start given ``in_flight`` running."""
-        return self.depth > 0 and in_flight < self.concurrency
+        return self._depth > 0 and in_flight < self.concurrency
 
     def offer(self, request: Request, ctx: AdmissionContext | None = None) -> bool:
         """Admit-or-shed entry point: queue the request unless policy rejects it."""
@@ -286,24 +263,45 @@ class RequestQueue:
         return True
 
     def push(self, request: Request, ctx: AdmissionContext | None = None) -> None:
-        entry = (self.admission.key(request, ctx), request)
-        bisect.insort(self._items, entry, key=lambda item: item[0])
+        # The sequence number is unique, so entries never compare requests.
+        entry = (self.admission.key(request, ctx), self._seq, request)
+        self._seq += 1
+        self._depth += 1
+        items = self._cells.get(request.cell)
+        if items is None:
+            self._cells[request.cell] = [entry]
+        else:
+            bisect.insort(items, entry)
+
+    def _head(self) -> list[tuple[tuple[Any, ...], int, Request]]:
+        """The cell list holding the next request in admission order."""
+        best = None
+        for items in self._cells.values():
+            if best is None or items[0] < best[0]:
+                best = items
+        return best
 
     def peek(self) -> Request:
         """The next request in admission order, without removing it."""
-        if not self._items:
+        if not self._depth:
             raise IndexError("peek on an empty request queue")
-        return self._items[0][1]
+        return self._head()[0][2]
 
     def pop(self) -> Request:
         """Remove and return the next request in admission order."""
-        if not self._items:
+        if not self._depth:
             raise IndexError("pop from an empty request queue")
-        return self._items.pop(0)[1]
+        items = self._head()
+        request = items.pop(0)[2]
+        if not items:
+            del self._cells[request.cell]
+        self._depth -= 1
+        return request
 
     def count_matching(self, cell: Any) -> int:
         """Queued requests sharing ``cell`` (what one batch could coalesce)."""
-        return sum(1 for _, request in self._items if request.cell == cell)
+        items = self._cells.get(cell)
+        return len(items) if items is not None else 0
 
     def queued_work_s(
         self, cost_estimate: "Callable[[RequestCell], float | None]"
@@ -311,13 +309,19 @@ class RequestQueue:
         """Estimated service seconds represented by the queued requests.
 
         Cells without an estimate yet (never executed) contribute nothing —
-        the estimate is a floor, which keeps shedding conservative.
+        the estimate is a floor, which keeps shedding conservative.  Each
+        cell's estimate is looked up once; the costs are then added in
+        admission order, so the float sum is the same as one walk of a
+        single key-sorted list.
         """
-        total = 0.0
-        for _, request in self._items:
-            cost = cost_estimate(request.cell)
+        costs = {}
+        for cell in self._cells:
+            cost = cost_estimate(cell)
             if cost is not None:
-                total += cost
+                costs[cell] = cost
+        total = 0.0
+        for _, _, request in heapq.merge(*(self._cells[cell] for cell in costs)):
+            total += costs[request.cell]
         return total
 
     def take_matching(self, cell: Any, limit: int) -> list[Request]:
@@ -326,14 +330,12 @@ class RequestQueue:
         Used by the batcher to coalesce compatible requests; matches are
         taken in admission order.
         """
-        if limit <= 0:
+        items = self._cells.get(cell)
+        if limit <= 0 or items is None:
             return []
-        taken: list[Request] = []
-        kept: list[tuple[tuple[Any, ...], Request]] = []
-        for entry in self._items:
-            if len(taken) < limit and entry[1].cell == cell:
-                taken.append(entry[1])
-            else:
-                kept.append(entry)
-        self._items = kept
+        taken = [entry[2] for entry in items[:limit]]
+        del items[:limit]
+        if not items:
+            del self._cells[cell]
+        self._depth -= len(taken)
         return taken

@@ -146,7 +146,7 @@ class ServeSpec:
         )
 
     def build_admission(self) -> AdmissionPolicy:
-        """Instantiate (and shim-wrap if needed) the admission policy."""
+        """Instantiate the admission policy the spec names."""
         return as_admission(self.admission)
 
     def build_scale_policy(self) -> ScalePolicy | None:
